@@ -183,6 +183,10 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset, _, _ = load_dataset(args.data)
+    expected = [tuple(s) for s in model.input_shapes]
+    if dataset.input_shapes != expected:
+        raise ConfigError(f"{args.data} has input shapes {dataset.input_shapes}, "
+                          f"the model was fitted on {expected}")
     if isinstance(model, MtotModel):
         pred = predict(model, dataset.xs)
     else:

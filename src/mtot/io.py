@@ -62,7 +62,10 @@ def parse_ten(text: str) -> np.ndarray:
     values = tokens[2 + order:]
     if len(values) != count:
         raise ConfigError(f"TEN1 block has {len(values)} values, expected {count}")
-    buf = np.array(values, dtype=np.float64)
+    try:
+        buf = np.array(values, dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric value in TEN1 block: {exc}") from exc
     return buf.reshape(shape, order="C")
 
 
@@ -71,7 +74,11 @@ def write_ten(path, t: np.ndarray):
 
 
 def read_ten(path) -> np.ndarray:
-    return parse_ten(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read tensor file {path}: {exc}") from exc
+    return parse_ten(text)
 
 
 def save_dataset(directory, name: str, dataset: Dataset, *, kind: str, seed: int,
@@ -114,10 +121,18 @@ def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None, dict]:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {manifest_path} is not a JSON object")
+    roles = manifest.get("roles", [])
+    if not isinstance(roles, list):
+        raise ConfigError(f"manifest {manifest_path}: 'roles' is not a list")
     base = manifest_path.parent
     y = None
     xs = []
-    for role in manifest.get("roles", []):
+    for role in roles:
+        if not (isinstance(role, dict) and isinstance(role.get("path"), str)
+                and isinstance(role.get("kind"), str)):
+            raise ConfigError(f"manifest {manifest_path}: each role needs string 'path' and 'kind'")
         tensor = read_ten(base / role["path"])
         if role["kind"] == "output":
             y = tensor
@@ -127,7 +142,10 @@ def load_dataset(manifest_path) -> tuple[Dataset, np.ndarray | None, dict]:
             raise ConfigError(f"unknown role kind {role['kind']!r}")
     if y is None:
         raise ConfigError("manifest has no output role")
-    truth = read_ten(base / manifest["truth"]) if "truth" in manifest else None
+    truth = manifest.get("truth")
+    if truth is not None and not isinstance(truth, str):
+        raise ConfigError(f"manifest {manifest_path}: 'truth' is not a path")
+    truth = read_ten(base / truth) if truth is not None else None
     meta = {k: manifest.get(k) for k in ("kind", "seed", "sigma")}
     return Dataset(y, xs), truth, meta
 

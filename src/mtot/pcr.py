@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .solver import Dataset
 from .tensor import fold, unfold
+from .tuning import fold_indices
 
 __all__ = ["PcrModel", "V_GRID", "pcr_fit", "pcr_predict", "pcr_cv"]
 
@@ -125,20 +126,13 @@ def pcr_predict(model: PcrModel, xs_new) -> np.ndarray:
     return fold(flat, 0, (x.shape[0],) + tuple(model.output_shape))
 
 
-def _fold_indices(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(m)
-    return [perm[i::k] for i in range(k)]
-
-
 def pcr_cv(dataset: Dataset, k: int = 5, seed: int = 0,
            grid=V_GRID) -> tuple[float, PcrModel]:
     """Pick the variance fraction by k-fold CV on held-out MSE, then refit on all data.
 
     Ties go to the smaller fraction.
     """
-    if dataset.num_samples < k:
-        raise ConfigError(f"cannot make {k} folds from {dataset.num_samples} samples")
-    folds = _fold_indices(dataset.num_samples, k, np.random.default_rng(seed))
+    folds = fold_indices(dataset.num_samples, k, seed)
     best_v, best_err = None, np.inf
     for v in sorted(grid):
         err = 0.0

@@ -20,7 +20,6 @@ from .tensor import (
     _fix_signs,
     fold_general,
     leading_left_vectors,
-    mode_product,
     multi_mode_product,
     unfold,
     unfold_general,
@@ -183,23 +182,168 @@ def _score_solver(scores: np.ndarray) -> np.ndarray:
         raise NumericalError("SVD failed while inverting a score matrix") from exc
 
 
+# ---------------------------------------------------------------------------
+# Rank-space ALS kernel
+#
+# A tensor with one leading "row" mode and trailing response-side modes is
+# held as its C-order matricization ``(rows, prod(trailing extents))``: the
+# j-th core as ``(F_j, R_1 ... R_d)`` with F_j its flattened input-rank size,
+# and the response projections ``Z_j^T Y`` and ``S_j Y`` as ``(F_j, Q)``.
+# Every update is then a handful of 2-D matrix products (Kolda & Bader's
+# matricized Kronecker identities) instead of per-mode tensordot calls; for a
+# single response mode each step is one GEMM.
+# ---------------------------------------------------------------------------
+
+
+def _mode_products(t: np.ndarray, dims, mats, skip: int = -1) -> np.ndarray:
+    """Trailing-mode products of a matricized tensor.
+
+    `t` is the ``(rows, prod(dims))`` C-order matricization of a
+    ``(rows, *dims)`` tensor. In ascending mode order, every trailing mode
+    ``i != skip`` is contracted with ``mats[i]`` of shape ``(dims[i], n_i)``
+    (the mode product with ``mats[i].T``): the last mode as one 2-D matmul on
+    a reshape, an earlier one as a matmul stacked over the leading block.
+    Returns the matricization of the result.
+    """
+    if len(mats) == 1:  # one response mode: a single GEMM, or nothing to do
+        return t if skip == 0 else t @ mats[0]
+    rows = t.shape[0]
+    dims = list(dims)
+    for i, a in enumerate(mats):
+        if i == skip:
+            continue
+        after = math.prod(dims[i + 1:])
+        if after == 1:
+            t = t.reshape(-1, dims[i]) @ a
+        else:
+            t = np.matmul(a.T, t.reshape(-1, dims[i], after))
+        dims[i] = a.shape[1]
+    return t.reshape(rows, -1)
+
+
+class _RankSpace:
+    """The response as every sweep sees it once the input scores are fixed.
+
+    Holds, per input j with score matrix ``Z_j`` and pseudoinverse ``S_j``,
+    the projections ``Z_j^T Y`` and ``S_j Y`` (``(F_j, Q)``, response modes
+    matricized), the score Gram blocks ``Z_j^T Z_k``, the solver cross
+    blocks ``S_j Z_k`` and ``||Y||^2``. Nothing here depends on the output
+    bases, so one instance serves fits at any output rank.
+    """
+
+    def __init__(self, y: np.ndarray, scores: Sequence[np.ndarray]):
+        y = np.asarray(y, dtype=np.float64)
+        self.out_dims = y.shape[1:]
+        y_mat = y.reshape(y.shape[0], -1)
+        solvers = [_score_solver(z) for z in scores]
+        self.y_by_scores = [z.T @ y_mat for z in scores]
+        self.y_by_solvers = [s @ y_mat for s in solvers]
+        self.score_gram = [[zj.T @ zk for zk in scores] for zj in scores]
+        self.solver_cross = [[s @ zk for zk in scores] for s in solvers]
+        self.y_norm2 = float(np.vdot(y, y))
+
+
+def _core_step(y_by_solver, out_dims, bases, cross, cores, j: int) -> np.ndarray:
+    """Exact core update for input j: ``S_j Y (x) V - sum_{k != j} S_j Z_k C_k``."""
+    core = _mode_products(y_by_solver, out_dims, bases)
+    for k, c in enumerate(cores):
+        if k != j:
+            core = core - cross[k] @ c
+    return core
+
+
+def _basis_step(y_by_scores, out_dims, cores, bases, mode: int) -> tuple[np.ndarray, bool]:
+    """Procrustes basis update for one response mode.
+
+    Sums over inputs the correlation of ``Z_j^T Y`` (every other response
+    mode projected) with core j along all but `mode`, then takes the polar
+    factor of that ``(Q_mode, R_mode)`` matrix by SVD. A zero correlation
+    signals stagnation: the basis is returned unchanged with the flag set.
+    """
+    ranks = [v.shape[1] for v in bases]
+    extent, rank = out_dims[mode], ranks[mode]
+    trail = math.prod(ranks[mode + 1:])
+    gram = None
+    for ys, core in zip(y_by_scores, cores):
+        w = _mode_products(ys, out_dims, bases, skip=mode)
+        lead = core.shape[0] * math.prod(ranks[:mode])
+        if trail == 1:
+            g = w.reshape(lead, extent).T @ core.reshape(lead, rank)
+        else:
+            g = np.matmul(w.reshape(lead, extent, trail),
+                          core.reshape(lead, rank, trail).transpose(0, 2, 1)).sum(axis=0)
+        gram = g if gram is None else gram + g
+    if not gram.any():
+        return bases[mode], True
+    try:
+        r, _, wt = np.linalg.svd(gram, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError("SVD failed in output-basis update") from exc
+    return r @ wt, False
+
+
+def _expanded_loss(space: _RankSpace, cores, bases) -> float:
+    """``||Y||^2 - 2 sum_j <Z_j^T Y (x) V, C_j> + sum_jk <C_j, Z_j^T Z_k C_k>``, clamped at 0."""
+    total = space.y_norm2
+    for j, core in enumerate(cores):
+        projected = _mode_products(space.y_by_scores[j], space.out_dims, bases)
+        total -= 2.0 * float(np.vdot(projected, core))
+        for k, other in enumerate(cores):
+            total += float(np.vdot(core, space.score_gram[j][k] @ other))
+    return max(total, 0.0)
+
+
+def _sweeps(space: _RankSpace, bases, tol: float, max_iter: int):
+    """Block-coordinate ALS in rank space from zero cores and the given bases.
+
+    Each sweep refreshes every core, then every output basis, then records
+    the expanded-form loss; iteration stops once the loss moves by at most
+    ``tol * max(||Y||^2, 1)`` or after `max_iter` sweeps. Returns
+    ``(cores, bases, loss_trace, stagnated)`` with cores matricized.
+    """
+    bases = list(bases)
+    width = math.prod(v.shape[1] for v in bases)
+    cores = [np.zeros((g[0].shape[0], width)) for g in space.score_gram]
+    w0 = space.y_norm2
+    trace = [w0]
+    stagnated = False
+    threshold = tol * max(w0, 1.0)
+    for _ in range(max_iter):
+        for j in range(len(cores)):
+            cores[j] = _core_step(space.y_by_solvers[j], space.out_dims, bases,
+                                  space.solver_cross[j], cores, j)
+        for i in range(len(bases)):
+            bases[i], stuck = _basis_step(space.y_by_scores, space.out_dims, cores, bases, i)
+            stagnated = stagnated or stuck
+        trace.append(_expanded_loss(space, cores, bases))
+        if abs(trace[-2] - trace[-1]) <= threshold:
+            break
+    return cores, bases, trace, stagnated
+
+
+def _predict_scores(scores, cores, bases) -> np.ndarray:
+    """Matricized prediction ``sum_j (Z_j C_j) (x) V^T`` from scores and matricized cores."""
+    out = None
+    for z, core in zip(scores, cores):
+        part = _mode_products(z @ core, [v.shape[1] for v in bases], [v.T for v in bases])
+        out = part if out is None else out + part
+    return out
+
+
 def update_core(residual, scores, output_bases: Sequence[np.ndarray]) -> np.ndarray:
     """Exact least-squares core update for one input, all else held fixed.
 
     `residual` is the response minus every other input's contribution.
     Solves the stacked regression in closed form: pseudoinverse of the score
     matrix along the sample mode, transposed output bases along the rest
-    (valid because the output bases are orthonormal).
+    (valid because the output bases are orthonormal). This is the core step
+    :func:`fit` runs, with no other inputs to subtract.
     """
-    return _update_core_solved(np.asarray(residual, dtype=np.float64),
-                               _score_solver(scores), output_bases)
-
-
-def _update_core_solved(residual, solver, output_bases) -> np.ndarray:
-    core = mode_product(residual, solver, 0)
-    for i, v in enumerate(output_bases):
-        core = mode_product(core, v.T, i + 1)
-    return core
+    residual = np.asarray(residual, dtype=np.float64)
+    solver = _score_solver(scores)
+    core = _core_step(solver @ residual.reshape(residual.shape[0], -1), residual.shape[1:],
+                      output_bases, [], [], 0)
+    return core.reshape((solver.shape[0],) + tuple(v.shape[1] for v in output_bases))
 
 
 def update_basis(y, cores: Sequence[np.ndarray], scores: Sequence[np.ndarray],
@@ -207,38 +351,21 @@ def update_basis(y, cores: Sequence[np.ndarray], scores: Sequence[np.ndarray],
     """Procrustes-optimal basis for one response mode, all else held fixed.
 
     `mode` indexes the response modes (0-based; axis ``mode + 1`` of the
-    stacked response). Builds the summed design matrix through mode products,
-    takes the SVD of (response unfolding) @ design.T and returns the
-    orthonormal polar factor truncated to the current basis width. A zero
-    design signals stagnation: the previous basis is returned unchanged with
-    the flag set.
+    stacked response). Takes the SVD of the response-design correlation and
+    returns the orthonormal polar factor truncated to the current basis
+    width, through the same basis step :func:`fit` runs. A zero design
+    signals stagnation: the previous basis is returned unchanged with the
+    flag set.
     """
     y = np.asarray(y, dtype=np.float64)
     d = y.ndim - 1
     if not 0 <= mode < d:
         raise ValueError(f"response mode {mode} out of range for {d} modes")
-    return _update_basis_unfolded(unfold(y, mode + 1), d, cores, scores, output_bases, mode)
-
-
-def _update_basis_unfolded(y_unfolded, d: int, cores, scores, output_bases,
-                           mode: int) -> tuple[np.ndarray, bool]:
-    axis = mode + 1
-    design = None
-    for core, z in zip(cores, scores):
-        t = mode_product(core, z, 0)
-        for k in range(1, d + 1):
-            if k != axis:
-                t = mode_product(t, output_bases[k - 1], k)
-        s = unfold(t, axis)
-        design = s if design is None else design + s
-    g = y_unfolded @ design.T
-    if not np.any(g):
-        return np.asarray(output_bases[mode], dtype=np.float64), True
-    try:
-        r, _, wt = np.linalg.svd(g, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError("SVD failed in output-basis update") from exc
-    return r @ wt, False
+    y_mat = y.reshape(y.shape[0], -1)
+    y_by_scores = [np.asarray(z, dtype=np.float64).T @ y_mat for z in scores]
+    flat = [np.asarray(c, dtype=np.float64).reshape(len(c), -1) for c in cores]
+    bases = [np.asarray(v, dtype=np.float64) for v in output_bases]
+    return _basis_step(y_by_scores, y.shape[1:], flat, bases, mode)
 
 
 def assemble_coefficients(model: MtotModel, j: int) -> np.ndarray:
@@ -346,74 +473,23 @@ def fit(dataset: Dataset, config: FitConfig) -> MtotModel:
 
 def _als(dataset: Dataset, in_ranks, out_ranks, factors, bases,
          tol: float, max_iter: int) -> MtotModel:
-    """Sweep loop shared by :func:`fit` and the cross-validation fast path.
+    """Fit at fixed input factors and initial output bases via the rank-space kernel.
 
     The response enters every update only through its contractions with the
-    fixed score matrices, so after projecting it once all sweeps and the
-    loss run on rank-sized arrays instead of the full M x Q response.
+    fixed score matrices, so after projecting it once (:class:`_RankSpace`)
+    all sweeps and the loss run on matricized, rank-sized arrays: cores as
+    ``(F_j, R_1 ... R_d)`` matrices, core updates
+    ``S_j Y (x) V - sum_{k != j} S_j Z_k C_k``, basis updates from
+    ``(Z_j^T Y)^T C_j`` summed over inputs followed by the SVD polar step,
+    and output bases applied per mode through reshapes and 2-D matmuls.
     """
-    y = dataset.y
-    d = len(out_ranks)
-    p = dataset.num_inputs
     scores = [input_projection(x, f) for x, f in zip(dataset.xs, factors)]
-    solvers = [_score_solver(z) for z in scores]
-
-    y_by_scores = [mode_product(y, z.T, 0) for z in scores]
-    y_by_solvers = [mode_product(y, s, 0) for s in solvers]
-    score_gram = [[scores[j].T @ scores[k] for k in range(p)] for j in range(p)]
-    solver_cross = [[solvers[j] @ scores[k] for k in range(p)] for j in range(p)]
-    y_norm2 = float(np.vdot(y, y))
-
-    cores = [np.zeros((math.prod(rr),) + out_ranks) for rr in in_ranks]
-
-    def project_outputs(t, skip: int = -1):
-        for i, v in enumerate(bases):
-            if i != skip:
-                t = mode_product(t, v.T, i + 1)
-        return t
-
-    def current_loss() -> float:
-        total = y_norm2
-        for j in range(p):
-            total -= 2.0 * float(np.vdot(project_outputs(y_by_scores[j]), cores[j]))
-            for k in range(p):
-                total += float(np.vdot(cores[j], mode_product(cores[k], score_gram[j][k], 0)))
-        return max(total, 0.0)
-
-    w0 = y_norm2
-    trace = [w0]
-    stagnated = False
-    threshold = tol * max(w0, 1.0)
-
-    for _ in range(max_iter):
-        for j in range(p):
-            core = project_outputs(y_by_solvers[j])
-            for k in range(p):
-                if k != j:
-                    core = core - mode_product(cores[k], solver_cross[j][k], 0)
-            cores[j] = core
-        for i in range(d):
-            design_gram = None
-            for j in range(p):
-                partial = unfold(project_outputs(y_by_scores[j], skip=i), i + 1)
-                g = partial @ unfold(cores[j], i + 1).T
-                design_gram = g if design_gram is None else design_gram + g
-            if not np.any(design_gram):
-                stagnated = True
-                continue
-            try:
-                r, _, wt = np.linalg.svd(design_gram, full_matrices=False)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError("SVD failed in output-basis update") from exc
-            bases[i] = r @ wt
-        trace.append(current_loss())
-        if abs(trace[-2] - trace[-1]) <= threshold:
-            break
-
+    space = _RankSpace(dataset.y, scores)
+    cores, bases, trace, stagnated = _sweeps(space, bases, tol, max_iter)
     return MtotModel(
         input_factors=factors,
         output_bases=bases,
-        cores=cores,
+        cores=[c.reshape((c.shape[0],) + tuple(out_ranks)) for c in cores],
         input_shapes=dataset.input_shapes,
         output_shape=dataset.output_shape,
         input_ranks=in_ranks,
@@ -434,7 +510,7 @@ def predict(model: MtotModel, xs_new: Sequence[np.ndarray]) -> np.ndarray:
     if len(xs_new) != model.num_inputs:
         raise ValueError(f"{len(xs_new)} inputs given, model has {model.num_inputs}")
     m = xs_new[0].shape[0]
-    out = None
+    scores = []
     for j, x in enumerate(xs_new):
         if x.shape[0] != m:
             raise ValueError("inputs disagree on sample count")
@@ -442,8 +518,7 @@ def predict(model: MtotModel, xs_new: Sequence[np.ndarray]) -> np.ndarray:
             raise ValueError(
                 f"input {j} has shape {x.shape[1:]}, model expects {tuple(model.input_shapes[j])}"
             )
-        part = mode_product(model.cores[j], input_projection(x, model.input_factors[j]), 0)
-        for i, v in enumerate(model.output_bases):
-            part = mode_product(part, v, i + 1)
-        out = part if out is None else out + part
-    return out
+        scores.append(input_projection(x, model.input_factors[j]))
+    cores = [c.reshape(c.shape[0], -1) for c in model.cores]
+    pred = _predict_scores(scores, cores, model.output_bases)
+    return pred.reshape((m,) + tuple(model.output_shape))

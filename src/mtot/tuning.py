@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .solver import Dataset, FitConfig, _als, _init_output_bases, predict
+from .solver import (
+    Dataset,
+    FitConfig,
+    _init_output_bases,
+    _predict_scores,
+    _RankSpace,
+    _sweeps,
+    input_projection,
+)
 from .tensor import leading_left_vectors, unfold
 
 __all__ = ["RankGrid", "CvReport", "numerical_rank", "build_grid", "make_rank_grid",
@@ -114,15 +122,24 @@ def _parameter_count(combo: tuple[int, ...], dataset: Dataset) -> int:
 
 
 class _FoldBank:
-    """Per-fold factor and init-basis banks computed once at the largest
-    feasible candidate ranks; individual tuples reuse leading columns.
+    """One CV fold: training split, held-out split and the banks its fits share.
 
-    Valid because the leading r columns of a truncated SVD basis equal the
-    rank-r computation.
+    Factor and init-basis banks are computed once at the largest feasible
+    candidate ranks; every tuple reuses their leading columns, which is
+    valid because the leading r columns of a truncated SVD basis equal the
+    rank-r computation. For each input-rank tuple, :meth:`rank_space` builds
+    what every output rank then reuses: the training scores and their
+    pseudoinverses, the response projections, the Gram and cross blocks
+    (one :class:`~mtot.solver._RankSpace`) and the held-out scores, so a fit
+    per output rank runs only the rank-space sweeps of the matricized ALS
+    kernel.
     """
 
-    def __init__(self, train: Dataset, max_in, max_out):
+    def __init__(self, dataset: Dataset, held: np.ndarray, max_in, max_out):
+        train = dataset.subset(np.setdiff1d(np.arange(dataset.num_samples), held))
         self.train = train
+        self.held_xs = [x[held] for x in dataset.xs]
+        self.held_y = dataset.y[held].reshape(len(held), -1)
         self.factor_bank = [
             [leading_left_vectors(unfold(x, mode + 1), r) for mode, r in enumerate(ranks)]
             for x, ranks in zip(train.xs, max_in)
@@ -130,15 +147,22 @@ class _FoldBank:
         cfg = FitConfig(input_ranks=[1] * train.num_inputs, output_rank=1)
         self.init_bank = _init_output_bases(train.y, max_out, cfg)
 
-    def run(self, in_ranks, out_rank, tol, max_iter):
+    def rank_space(self, in_ranks) -> tuple[_RankSpace, list[np.ndarray]]:
         factors = [
-            [bank[:, :in_ranks[j]] for bank in per_input]
-            for j, per_input in enumerate(self.factor_bank)
+            [bank[:, :r] for bank in per_input]
+            for r, per_input in zip(in_ranks, self.factor_bank)
         ]
+        scores = [input_projection(x, f) for x, f in zip(self.train.xs, factors)]
+        held = [input_projection(x, f) for x, f in zip(self.held_xs, factors)]
+        return _RankSpace(self.train.y, scores), held
+
+    def held_out_rss(self, space: _RankSpace, held_scores, out_rank: int,
+                     tol: float, max_iter: int) -> float:
+        """Fit at `out_rank` from the HOSVD init; held-out RSS per entry."""
         bases = [bank[:, :out_rank] for bank in self.init_bank]
-        resolved_in = [(r,) * len(shape) for r, shape in zip(in_ranks, self.train.input_shapes)]
-        resolved_out = (out_rank,) * len(self.train.output_shape)
-        return _als(self.train, resolved_in, resolved_out, factors, bases, tol, max_iter)
+        cores, bases, _, _ = _sweeps(space, bases, tol, max_iter)
+        resid = self.held_y - _predict_scores(held_scores, cores, bases)
+        return float(np.vdot(resid, resid)) / resid.size
 
 
 def cross_validate(dataset: Dataset, grid: RankGrid | None = None, k: int = 5,
@@ -149,11 +173,16 @@ def cross_validate(dataset: Dataset, grid: RankGrid | None = None, k: int = 5,
     Ties break toward the smallest parameter count, then the lexicographically
     smallest tuple. Infeasible tuples (a candidate rank exceeding a mode
     extent) are skipped and recorded.
+
+    The loop runs over input-rank tuples, then folds, then output ranks:
+    everything that depends only on the fold and the input ranks (scores,
+    pseudoinverses, response projections, Gram/cross blocks, held-out
+    scores) is computed once and shared by the fits at every output rank.
+    Results equal those of fitting each tuple independently.
     """
     if grid is None:
         grid = make_rank_grid(dataset)
     folds = fold_indices(dataset.num_samples, k, seed)
-    all_idx = np.arange(dataset.num_samples)
 
     in_extents = [min(shape) for shape in dataset.input_shapes]
     out_extent = min(dataset.output_shape)
@@ -162,27 +191,28 @@ def cross_validate(dataset: Dataset, grid: RankGrid | None = None, k: int = 5,
         for cands, extent, shape in zip(grid.input_candidates, in_extents, dataset.input_shapes)
     ]
     max_out = [min(max(grid.output_candidates), out_extent)] * len(dataset.output_shape)
-    banks = [
-        _FoldBank(dataset.subset(np.setdiff1d(all_idx, held)), max_in, max_out)
-        for held in folds
-    ]
+    banks = [_FoldBank(dataset, held, max_in, max_out) for held in folds]
+    out_ranks = list(dict.fromkeys(r for r in grid.output_candidates if r <= out_extent))
 
     mean_rss: dict[tuple[int, ...], float] = {}
     folds_used: dict[tuple[int, ...], int] = {}
     skipped: list[tuple[int, ...]] = []
-    for combo in grid.tuples():
-        *in_ranks, out_rank = combo
-        if out_rank > out_extent or any(r > e for r, e in zip(in_ranks, in_extents)):
-            skipped.append(combo)
+    for in_combo in itertools.product(*grid.input_candidates):
+        if any(r > e for r, e in zip(in_combo, in_extents)):
+            skipped.extend(in_combo + (r,) for r in grid.output_candidates)
             continue
-        per_fold = []
-        for held, bank in zip(folds, banks):
-            model = bank.run(in_ranks, out_rank, tol, max_iter)
-            pred = predict(model, [x[held] for x in dataset.xs])
-            resid = dataset.y[held] - pred
-            per_fold.append(float(np.vdot(resid, resid)) / resid.size)
-        mean_rss[combo] = float(np.mean(per_fold))
-        folds_used[combo] = len(per_fold)
+        per_fold: dict[int, list[float]] = {r: [] for r in out_ranks}
+        for bank in banks:
+            space, held_scores = bank.rank_space(in_combo)
+            for r in out_ranks:
+                per_fold[r].append(bank.held_out_rss(space, held_scores, r, tol, max_iter))
+        for r in grid.output_candidates:
+            combo = in_combo + (r,)
+            if r not in per_fold:
+                skipped.append(combo)
+                continue
+            mean_rss[combo] = float(np.mean(per_fold[r]))
+            folds_used[combo] = len(per_fold[r])
 
     if not mean_rss:
         raise ConfigError("no feasible rank tuple in the grid")

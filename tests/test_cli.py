@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mtot import predict
 from mtot.cli import main
@@ -186,3 +187,57 @@ def test_exit_code_numerical_failure(tmp_path):
     result = run_subprocess("fit", "--data", str(out / "train.json"),
                             "--ranks", "2,4,5", "--out", str(tmp_path / "m.zip"))
     assert result.returncode == 3
+
+
+def _fitted_model(tmp_path):
+    out = tmp_path / "data"
+    run_cli("simulate", "--kind", "jump", "--seed", "3", "--train-size", "20",
+            "--test-size", "0", "--out", str(out))
+    model = tmp_path / "model.zip"
+    assert run_cli("fit", "--data", str(out / "train.json"), "--ranks", "2,3,4",
+                   "--out", str(model)) == 0
+    return model
+
+
+def _other_layout(tmp_path):
+    out = tmp_path / "other"
+    run_cli("simulate", "--kind", "curve_on_curve", "--seed", "3", "--train-size", "10",
+            "--test-size", "0", "--out", str(out))
+    return out / "train.json"
+
+
+def _list_manifest(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]\n")
+    return path
+
+
+def _role_without_path(tmp_path):
+    path = tmp_path / "nopath.json"
+    path.write_text(json.dumps({"roles": [{"name": "response", "kind": "output"}]}))
+    return path
+
+
+def _non_numeric_token(tmp_path):
+    (tmp_path / "y.ten").write_text("TEN1 2 2 1\n1.5\nabc\n")
+    (tmp_path / "x.ten").write_text("TEN1 2 2 1\n1\n2\n")
+    path = tmp_path / "bad_token.json"
+    path.write_text(json.dumps({"roles": [{"name": "response", "path": "y.ten", "kind": "output"},
+                                          {"name": "x", "path": "x.ten", "kind": "input"}]}))
+    return path
+
+
+@pytest.mark.parametrize("make_data,needle", [
+    (_other_layout, "fitted on"),
+    (_list_manifest, "not a JSON object"),
+    (_role_without_path, "'path'"),
+    (_non_numeric_token, "non-numeric"),
+])
+def test_predict_malformed_input_exits_2_without_traceback(tmp_path, make_data, needle):
+    model = _fitted_model(tmp_path)
+    result = run_subprocess("predict", "--model", str(model), "--data", str(make_data(tmp_path)),
+                            "--out", str(tmp_path / "pred.ten"))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]

@@ -14,8 +14,16 @@ from mtot import (
     predict,
     smspe,
 )
-from mtot.solver import input_projection, update_basis, update_core
+from mtot.solver import (
+    _init_output_bases,
+    _input_bases,
+    _resolve_rank,
+    input_projection,
+    update_basis,
+    update_core,
+)
 from mtot.tensor import fold, kronecker, mode_product, unfold, unfold_general
+from reference_als import reference_als, reference_predict
 
 
 def small_dataset(seed=0, m=12):
@@ -367,3 +375,38 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), [np.zeros(4)])
     with pytest.raises(ConfigError):
         Dataset(np.zeros((4, 2)), [])
+
+
+# ---------------------------------------------------------------------------
+# rank-space kernel against the mode-product sweep it replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_data,in_ranks,out_rank", [
+    # 1-mode response, two inputs
+    (lambda: generate(SimSpec("jump", seed=1, m_train=80, m_test=0)).train, [3, 10], 12),
+    # 2-mode response with a 2-mode input
+    (lambda: generate(SimSpec("waveform", sigma=0.2, seed=0, m_train=40, m_test=0)).train,
+     [2, 3], 3),
+    # multi-mode input and response, per-mode ranks
+    (lambda: small_dataset(seed=30, m=20), [3, (2, 3)], (3, 2)),
+    (lambda: generate(SimSpec("wafer", seed=0, m_train=20, m_test=0, polar_shape=(20, 40),
+                              cartesian_step=2.0)).train, [8], 8),
+])
+def test_fit_matches_mode_product_reference(make_data, in_ranks, out_rank):
+    ds = make_data()
+    cfg = FitConfig(input_ranks=in_ranks, output_rank=out_rank)
+    model = fit(ds, cfg)
+
+    resolved = [_resolve_rank(r, s, "in") for r, s in zip(in_ranks, ds.input_shapes)]
+    factors = _input_bases(ds, resolved, "tucker")
+    bases = _init_output_bases(ds.y, _resolve_rank(out_rank, ds.output_shape, "out"), cfg)
+    scores = [input_projection(x, f) for x, f in zip(ds.xs, factors)]
+    cores, bases, trace, stagnated = reference_als(ds.y, scores, bases, cfg.tol, cfg.max_iter)
+
+    assert len(model.loss_trace) == len(trace)
+    np.testing.assert_allclose(model.loss_trace, trace, rtol=1e-10, atol=0)
+    assert model.stagnated == stagnated
+    assert [c.shape for c in model.cores] == [c.shape for c in cores]
+    ref = reference_predict(scores, cores, bases)
+    pred = predict(model, ds.xs)
+    assert np.linalg.norm(pred - ref) <= 1e-9 * np.linalg.norm(ref)

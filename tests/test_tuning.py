@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from mtot import ConfigError, FitConfig, SimSpec, fit, generate, predict, smspe
+from mtot.solver import _init_output_bases, _input_bases
 from mtot.tuning import (
     RankGrid,
+    _parameter_count,
     build_grid,
     cross_validate,
     fold_indices,
     make_rank_grid,
     numerical_rank,
 )
+from reference_als import reference_held_out_rss
 
 
 def test_numerical_rank_cases():
@@ -109,3 +112,52 @@ def test_grid_from_dataset_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "rank_in_0,rank_in_1,rank_out,mean_rss,folds_used"
     assert len(lines) == 5
+
+
+def _reference_cross_validate(ds, grid, k, seed, tol=1e-6, max_iter=100):
+    """Per-tuple CV: every (tuple, fold) fit built from scratch by the reference sweep."""
+    folds = fold_indices(ds.num_samples, k, seed)
+    in_extents = [min(s) for s in ds.input_shapes]
+    mean_rss, folds_used, skipped = {}, {}, []
+    for combo in grid.tuples():
+        *in_ranks, out_rank = combo
+        if out_rank > min(ds.output_shape) or any(r > e for r, e in zip(in_ranks, in_extents)):
+            skipped.append(combo)
+            continue
+        resolved = [(r,) * len(s) for r, s in zip(in_ranks, ds.input_shapes)]
+        per_fold = []
+        for held in folds:
+            train = ds.subset(np.setdiff1d(np.arange(ds.num_samples), held))
+            factors = _input_bases(train, resolved, "tucker")
+            bases = _init_output_bases(train.y, (out_rank,) * len(ds.output_shape),
+                                       FitConfig(input_ranks=in_ranks, output_rank=out_rank))
+            held_y = ds.y[held]
+            per_fold.append(reference_held_out_rss(train, [x[held] for x in ds.xs], held_y,
+                                                   factors, bases, tol, max_iter))
+        mean_rss[combo] = float(np.mean(per_fold))
+        folds_used[combo] = len(per_fold)
+    chosen = min(mean_rss, key=lambda c: (mean_rss[c], _parameter_count(c, ds), c))
+    return mean_rss, folds_used, skipped, chosen
+
+
+@pytest.mark.parametrize("make_data,grid", [
+    # curve-on-curve: curve + scalar inputs, 1-mode response; rank 9 exceeds
+    # the 5 scalars and 101 the 100-point response
+    (lambda: generate(SimSpec("curve_on_curve", seed=3, m_train=40, m_test=0)).train,
+     RankGrid(input_candidates=[(1, 3, 6), (1, 2, 5, 9)], output_candidates=(1, 4, 8, 101),
+              input_source_ranks=[6, 9], output_source_rank=101)),
+    # waveform: 2-mode input and 2-mode response; 51 and 41 are infeasible
+    (lambda: generate(SimSpec("waveform", sigma=0.3, seed=1, m_train=30, m_test=0)).train,
+     RankGrid(input_candidates=[(1, 2), (3, 51)], output_candidates=(2, 3, 41),
+              input_source_ranks=[2, 51], output_source_rank=41)),
+])
+def test_cross_validate_matches_per_tuple_reference(make_data, grid):
+    ds = make_data()
+    report = cross_validate(ds, grid=grid, k=5, seed=4)
+    mean_rss, folds_used, skipped, chosen = _reference_cross_validate(ds, grid, k=5, seed=4)
+    assert report.chosen == chosen
+    assert report.skipped == skipped and skipped
+    assert report.folds_used == folds_used
+    assert list(report.mean_rss) == list(mean_rss)
+    for combo, ref in mean_rss.items():
+        assert abs(report.mean_rss[combo] - ref) <= 1e-10 * abs(ref), combo
