@@ -462,43 +462,86 @@ def _quadratic_design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.size), x, y, x**2, y**2, x * y])
 
 
-def second_order_residual(field: np.ndarray, x: np.ndarray, y: np.ndarray,
-                          mask: np.ndarray, _solver=None) -> np.ndarray:
-    """Residual after removing the least-squares quadratic trend fitted inside `mask`."""
-    design = _quadratic_design(x.ravel(), y.ravel())
-    if _solver is None:
-        _solver = np.linalg.pinv(design[mask.ravel()])
-    coef = _solver @ field.ravel()[mask.ravel()]
+def _detrend(field: np.ndarray, design: np.ndarray, solver: np.ndarray,
+             inside: np.ndarray) -> np.ndarray:
+    """`field` minus the trend `design @ coef`, where `coef = solver @ field[inside]`.
+
+    `design` is the flattened grid's quadratic design, `inside` the flattened
+    fit mask and `solver` the pseudoinverse of `design[inside]`; a caller
+    de-trending many fields on one grid builds all three once.
+    """
+    coef = solver @ field.ravel()[inside]
     return field - (design @ coef).reshape(field.shape)
+
+
+def second_order_residual(field: np.ndarray, x: np.ndarray, y: np.ndarray,
+                          mask: np.ndarray) -> np.ndarray:
+    """Residual after removing the least-squares quadratic trend fitted inside `mask`.
+
+    The trend is ``1, x, y, x^2, y^2, xy`` on the grid coordinates `x`, `y`,
+    fitted by the pseudoinverse of its design restricted to `mask`.
+    """
+    design = _quadratic_design(x.ravel(), y.ravel())
+    inside = mask.ravel()
+    return _detrend(field, design, np.linalg.pinv(design[inside]), inside)
+
+
+def _bilinear_stencil(shape: tuple[int, int], origin: float, step: float,
+                      px: np.ndarray, py: np.ndarray) -> tuple:
+    """Flat corner indices, fractions and complements (1 - fraction) of
+    bilinear interpolation at (px, py) on a grid of `shape`."""
+    n0, n1 = shape
+    gx = np.clip((px - origin) / step, 0.0, n0 - 1.0)
+    gy = np.clip((py - origin) / step, 0.0, n1 - 1.0)
+    i0 = np.minimum(gx.astype(int), n0 - 2)
+    j0 = np.minimum(gy.astype(int), n1 - 2)
+    fx = gx - i0
+    fy = gy - j0
+    corner = i0 * n1 + j0
+    return corner, corner + n1, corner + 1, corner + n1 + 1, fx, fy, 1 - fx, 1 - fy
+
+
+def _bilinear(field: np.ndarray, stencil: tuple) -> np.ndarray:
+    c00, c10, c01, c11, fx, fy, cx, cy = stencil
+    flat = field.ravel()
+    return (
+        flat[c00] * cx * cy
+        + flat[c10] * fx * cy
+        + flat[c01] * cx * fy
+        + flat[c11] * fx * fy
+    )
 
 
 def resample_bilinear(field: np.ndarray, origin: float, step: float,
                       px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a square regular-grid field at points (px, py)."""
-    n = field.shape[0]
-    gx = np.clip((px - origin) / step, 0.0, n - 1.0)
-    gy = np.clip((py - origin) / step, 0.0, field.shape[1] - 1.0)
-    i0 = np.minimum(gx.astype(int), n - 2)
-    j0 = np.minimum(gy.astype(int), field.shape[1] - 2)
-    fx = gx - i0
-    fy = gy - j0
-    return (
-        field[i0, j0] * (1 - fx) * (1 - fy)
-        + field[i0 + 1, j0] * fx * (1 - fy)
-        + field[i0, j0 + 1] * (1 - fx) * fy
-        + field[i0 + 1, j0 + 1] * fx * fy
-    )
+    return _bilinear(field, _bilinear_stencil(field.shape, origin, step, px, py))
 
 
 def _gen_wafer(spec: SimSpec) -> GeneratedData:
+    """Wafer shape deltas (input) and overlay residuals (response) on a polar grid.
+
+    Per wafer: a bow change plus 2-10 ripples, each ripple the sum of a sine
+    along x and a cosine along y, on the Cartesian grid; the overlay is the
+    negative shape gradient along `response_axis` minus its least-squares
+    quadratic trend inside the disc; both fields are resampled bilinearly
+    onto the polar grid and zeroed outside the wafer.
+
+    Everything that does not depend on the wafer (grid, trend design and its
+    pseudoinverse, resampling stencil) is built once per call. Each ripple
+    term depends on one axis only, so it is evaluated on that axis and
+    broadcast into the full-grid sum; the sum runs in the same order over
+    the same values as a full-grid evaluation, so the output is unchanged
+    bit for bit.
+    """
     rng_s, _ = _streams(spec)
     m = spec.m_train + spec.m_test
     step = spec.cartesian_step
     radius = _WAFER_RADIUS
     axis_pts = np.arange(-radius, radius + step / 2, step)
+    along_x, along_y = axis_pts[:, None], axis_pts[None, :]
     gx, gy = np.meshgrid(axis_pts, axis_pts, indexing="ij")
     bow_field = (0.5 * gx**2 + gy**2) / radius**2
-    disc = gx**2 + gy**2 <= radius**2
     grad_axis = 0 if spec.response_axis == "x" else 1
 
     n_r, n_theta = spec.polar_shape
@@ -508,7 +551,10 @@ def _gen_wafer(spec: SimSpec) -> GeneratedData:
     py = r[:, None] * np.sin(theta)[None, :]
     outside = px**2 + py**2 > radius**2 + 1e-9
 
-    trend_solver = np.linalg.pinv(_quadratic_design(gx.ravel(), gy.ravel())[disc.ravel()])
+    design = _quadratic_design(gx.ravel(), gy.ravel())
+    inside = (gx**2 + gy**2 <= radius**2).ravel()
+    trend_solver = np.linalg.pinv(design[inside])
+    stencil = _bilinear_stencil(gx.shape, -radius, step, px, py)
     shapes = np.empty((m, n_r, n_theta))
     overlays = np.empty((m, n_r, n_theta))
     for i in range(m):
@@ -518,12 +564,12 @@ def _gen_wafer(spec: SimSpec) -> GeneratedData:
         height = rng_s.uniform(wavelength / 1e7, wavelength / 1e6)
         delta_shape = (bow2 - _WAFER_BOW1) * bow_field
         for lam, h in zip(wavelength, height):
-            delta_shape = delta_shape + (h / 2.0) * (1.0 + np.sin(2.0 * np.pi * gx / lam))
-            delta_shape = delta_shape + (h / 2.0) * (1.0 + np.cos(2.0 * np.pi * gy / lam))
+            delta_shape += (h / 2.0) * (1.0 + np.sin(2.0 * np.pi * along_x / lam))
+            delta_shape += (h / 2.0) * (1.0 + np.cos(2.0 * np.pi * along_y / lam))
         distortion = in_plane_distortion(delta_shape, step, axis=grad_axis)
-        overlay = second_order_residual(distortion, gx, gy, disc, _solver=trend_solver)
-        shapes[i] = resample_bilinear(delta_shape, -radius, step, px, py)
-        overlays[i] = resample_bilinear(overlay, -radius, step, px, py)
+        overlay = _detrend(distortion, design, trend_solver, inside)
+        shapes[i] = _bilinear(delta_shape, stencil)
+        overlays[i] = _bilinear(overlay, stencil)
     shapes[:, outside] = 0.0
     overlays[:, outside] = 0.0
 

@@ -518,6 +518,8 @@ def predict(model: MtotModel, xs_new: Sequence[np.ndarray]) -> np.ndarray:
             raise ValueError(
                 f"input {j} has shape {x.shape[1:]}, model expects {tuple(model.input_shapes[j])}"
             )
+        if not np.isfinite(x).all():
+            raise NumericalError(f"non-finite values in input {j}")
         scores.append(input_projection(x, model.input_factors[j]))
     cores = [c.reshape(c.shape[0], -1) for c in model.cores]
     pred = _predict_scores(scores, cores, model.output_bases)

@@ -241,3 +241,23 @@ def test_predict_malformed_input_exits_2_without_traceback(tmp_path, make_data, 
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+
+
+@pytest.mark.parametrize("fit_args", [("--ranks", "2,3,4"), ("--method", "pcr", "--v", "0.95")])
+def test_predict_non_finite_input_exits_3(tmp_path, fit_args):
+    out = tmp_path / "data"
+    run_cli("simulate", "--kind", "jump", "--seed", "3", "--train-size", "20",
+            "--test-size", "5", "--out", str(out))
+    model = tmp_path / "model.zip"
+    assert run_cli("fit", "--data", str(out / "train.json"), *fit_args, "--out", str(model)) == 0
+    ten = out / "test_dense_weights.ten"
+    text = ten.read_text().splitlines()
+    text[1] = "nan " + " ".join(text[1].split()[1:])
+    ten.write_text("\n".join(text) + "\n")
+    pred = tmp_path / "pred.ten"
+    result = run_subprocess("predict", "--model", str(model), "--data", str(out / "test.json"),
+                            "--out", str(pred))
+    assert result.returncode == 3, result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    assert not pred.exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mtot import ConfigError, Dataset, SimSpec, generate, pcr_cv, pcr_fit, pcr_predict, smspe
-from mtot.tuning import numerical_rank
+from mtot.pcr import V_GRID, _cv_mse
+from mtot.tuning import fold_indices, numerical_rank
 from mtot.tensor import fold, unfold
 
 
@@ -132,3 +133,86 @@ def test_paper_band_cone():
     _, model = pcr_cv(data.train, k=5, seed=0)
     value = float(np.log(smspe(data.test.y, pcr_predict(model, data.test.xs))))
     assert abs(value - (-5.555)) <= 2.0
+
+
+def _reference_loadings(centered, v):
+    """Leading principal directions, factorizing `centered` afresh per call."""
+    wide = centered.shape[1] > 4 * centered.shape[0]
+    if wide:
+        power, u = np.linalg.eigh(centered @ centered.T)
+        power = np.clip(power[::-1], 0.0, None)
+        u = u[:, ::-1]
+        s = np.sqrt(power)
+    else:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        power = s**2
+    cutoff = s[0] * max(centered.shape) * np.finfo(np.float64).eps
+    rank = max(int((s > cutoff).sum()), 1)
+    count = min(int(np.searchsorted(np.cumsum(power) / power.sum(), v - 1e-12) + 1), rank)
+    if not wide:
+        return vt[:count].T
+    return np.linalg.qr(centered.T @ (u[:, :count] / s[:count]))[0]
+
+
+def _reference_predict(train, v, held_xs):
+    x = np.concatenate([unfold(x, 0) for x in train.xs], axis=1)
+    y = unfold(train.y, 0)
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    wx, wy = _reference_loadings(xc, v), _reference_loadings(yc, v)
+    sx = xc @ wx
+    design = np.concatenate([np.ones((sx.shape[0], 1)), sx], axis=1)
+    coef = np.linalg.lstsq(design, yc @ wy, rcond=None)[0]
+    # same operand layouts as pcr_predict, so the comparison can be exact
+    wx, wy, coef = (np.ascontiguousarray(a) for a in (wx, wy, coef))
+    xn = np.concatenate([unfold(x, 0) for x in held_xs], axis=1)
+    sn = (xn - np.ascontiguousarray(x.mean(axis=0))) @ wx
+    design = np.concatenate([np.ones((sn.shape[0], 1)), sn], axis=1)
+    flat = design @ coef @ wy.T + np.ascontiguousarray(y.mean(axis=0))
+    return fold(flat, 0, (xn.shape[0],) + train.output_shape)
+
+
+def _reference_cv_mse(ds, folds, grid):
+    """Held-out MSE refitting every (fraction, fold) pair from scratch."""
+    out = []
+    for v in grid:
+        err, count = 0.0, 0
+        for held in folds:
+            train = ds.subset(np.setdiff1d(np.arange(ds.num_samples), held))
+            pred = _reference_predict(train, v, [x[held] for x in ds.xs])
+            err += float(((ds.y[held] - pred) ** 2).sum())
+            count += ds.y[held].size
+        out.append(err / count)
+    return out
+
+
+def _wide_dataset():
+    """Fewer samples than a quarter of either side's width: the row-Gram path."""
+    rng = np.random.default_rng(11)
+    m = 30
+    latent = rng.standard_normal((m, 4))
+    x = latent @ rng.standard_normal((4, 200)) + 0.1 * rng.standard_normal((m, 200))
+    y = latent @ rng.standard_normal((4, 150)) + 0.1 * rng.standard_normal((m, 150))
+    return Dataset(y.reshape(m, 10, 15), [x[:, :80], x[:, 80:].reshape(m, 12, 10)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(SimSpec("curve_on_curve", seed=2, m_train=80, m_test=10)).train,
+    _wide_dataset,
+])
+def test_cv_matches_per_fraction_per_fold_reference(make):
+    ds = make()
+    folds = fold_indices(ds.num_samples, 5, 3)
+    grid = sorted(V_GRID)
+    expected = _reference_cv_mse(ds, folds, grid)
+    assert _cv_mse(ds, folds, grid) == expected
+    v, model = pcr_cv(ds, k=5, seed=3)
+    assert v == grid[int(np.argmin(expected))]
+    assert np.array_equal(pcr_predict(model, ds.xs), _reference_predict(ds, v, ds.xs))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+def test_cv_choice_does_not_depend_on_response_units(scale):
+    data = generate(SimSpec("curve_on_curve", seed=0))
+    v, _ = pcr_cv(data.train, k=5, seed=0)
+    scaled = Dataset(scale * data.train.y, data.train.xs)
+    assert pcr_cv(scaled, k=5, seed=0)[0] == v

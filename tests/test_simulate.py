@@ -322,3 +322,67 @@ def test_wafer_second_coordinate_behind_flag():
     assert np.array_equal(x_resp.train.xs[0], y_resp.train.xs[0])
     assert not np.array_equal(x_resp.train.y, y_resp.train.y)
     assert np.abs(y_resp.train.y).max() < 1e-3
+
+
+def _reference_wafer(spec):
+    """Per-wafer full-grid generator: every ripple term evaluated on the whole
+    Cartesian grid, the trend design rebuilt per wafer, resampling by 2-D
+    indexing. Returns all shape deltas and overlays in sample order."""
+    rng = np.random.default_rng([spec.seed, 101])
+    step, radius = spec.cartesian_step, 150.0
+    ax = np.arange(-radius, radius + step / 2, step)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    bow_field = (0.5 * gx**2 + gy**2) / radius**2
+    disc = gx**2 + gy**2 <= radius**2
+    grad_axis = 0 if spec.response_axis == "x" else 1
+    n_r, n_theta = spec.polar_shape
+    r = radius * np.arange(1, n_r + 1) / n_r
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    px = r[:, None] * np.cos(theta)[None, :]
+    py = r[:, None] * np.sin(theta)[None, :]
+    outside = px**2 + py**2 > radius**2 + 1e-9
+
+    def design():
+        x, y = gx.ravel(), gy.ravel()
+        return np.column_stack([np.ones(x.size), x, y, x**2, y**2, x * y])
+
+    def resample(field):
+        n = field.shape[0]
+        fgx = np.clip((px + radius) / step, 0.0, n - 1.0)
+        fgy = np.clip((py + radius) / step, 0.0, field.shape[1] - 1.0)
+        i0 = np.minimum(fgx.astype(int), n - 2)
+        j0 = np.minimum(fgy.astype(int), field.shape[1] - 2)
+        fx, fy = fgx - i0, fgy - j0
+        return (field[i0, j0] * (1 - fx) * (1 - fy) + field[i0 + 1, j0] * fx * (1 - fy)
+                + field[i0, j0 + 1] * (1 - fx) * fy + field[i0 + 1, j0 + 1] * fx * fy)
+
+    solver = np.linalg.pinv(design()[disc.ravel()])
+    shapes, overlays = [], []
+    for _ in range(spec.m_train + spec.m_test):
+        bow2 = rng.uniform(0.03, 0.1)
+        n_waves = int(rng.integers(2, 11))
+        wavelength = rng.uniform(2.0, 20.0, n_waves)
+        height = rng.uniform(wavelength / 1e7, wavelength / 1e6)
+        delta = (bow2 - 0.1) * bow_field
+        for lam, h in zip(wavelength, height):
+            delta = delta + (h / 2.0) * (1.0 + np.sin(2.0 * np.pi * gx / lam))
+            delta = delta + (h / 2.0) * (1.0 + np.cos(2.0 * np.pi * gy / lam))
+        distortion = -np.gradient(delta, step, axis=grad_axis, edge_order=2)
+        coef = solver @ distortion.ravel()[disc.ravel()]
+        overlay = distortion - (design() @ coef).reshape(distortion.shape)
+        shapes.append(resample(delta))
+        overlays.append(resample(overlay))
+    shapes, overlays = np.array(shapes), np.array(overlays)
+    shapes[:, outside] = 0.0
+    overlays[:, outside] = 0.0
+    return shapes, overlays
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_wafer_generator_matches_full_grid_reference(axis):
+    spec = SimSpec("wafer", seed=5, m_train=3, m_test=1, polar_shape=(6, 12),
+                   response_axis=axis)
+    data = generate(spec)
+    shapes, overlays = _reference_wafer(spec)
+    assert np.array_equal(np.concatenate([data.train.xs[0], data.test.xs[0]]), shapes)
+    assert np.array_equal(np.concatenate([data.train.y, data.test.y]), overlays)
